@@ -117,29 +117,21 @@ fn bench_row(
     cpu: &CpuSpec,
 ) -> BenchRow {
     let spec = ctx.config().spec(algorithm);
+    let fingerprint = spec.fingerprint_with(backend);
     let t0 = ctx.journal.now();
     let start = Instant::now();
-    let filter = spec.build_with(backend, dataset);
-    let out = filter.execute(dataset);
+    let (run, out) = study::native_run_with(spec, backend, size, dataset);
     let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
     eprintln!(
         "bench: {:<20} {:<11} {size:>4}  {wall_seconds:>10.4} s",
         algorithm.name(),
         backend.name()
     );
-    let input_cells = dataset.num_cells();
+    let input_cells = run.input_cells;
     let output_cells = out.dataset.as_ref().map(|d| d.num_cells());
     let triangles_per_second = match algorithm {
         Algorithm::Contour | Algorithm::Slice => output_cells.map(|n| n as f64 / wall_seconds),
         _ => None,
-    };
-    let fingerprint = spec.fingerprint_with(backend);
-    let run = study::AlgorithmRun {
-        algorithm,
-        size,
-        input_cells,
-        spec,
-        reports: out.kernels,
     };
     let sweep = study::sweep(&run, default_cap, cpu);
     let (sim_seconds, sim_joules, sim_ipc, sim_llc_miss_rate) = sweep

@@ -118,11 +118,10 @@ impl DatasetStore {
 /// The **one** construction site for study hydro bases: solve the
 /// TwoState problem at `base_n` to [`HYDRO_T_END`], journaling
 /// per-timestep [`Scope::Timestep`] spans plus one `dataset:{base_n}`
-/// [`Scope::Study`] span when the journal is live. Both the store above
-/// and the free [`crate::study::dataset_for`] (which passes
-/// [`Journal::off`]) build through here, so the solve loop and its
-/// journal shape cannot drift apart.
-pub(crate) fn solve_base(base_n: usize, journal: &mut Journal) -> DataSet {
+/// [`Scope::Study`] span when the journal is live. Only the store calls
+/// it; the free [`crate::study::dataset_for`] goes through a fresh
+/// store, so the solve loop and its journal shape cannot drift apart.
+fn solve_base(base_n: usize, journal: &mut Journal) -> DataSet {
     let t0 = journal.now();
     let mut sim = Simulation::new(Problem::TwoState, base_n, SimConfig::default());
     while sim.time() < HYDRO_T_END {

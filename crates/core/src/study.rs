@@ -14,7 +14,10 @@ use powersim::trace::{Journal, Scope};
 use powersim::{CpuSpec, ExecResult, Joules, Package, Watts, Workload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vizalgo::{Algorithm, AlgorithmSpec, Filter, IsoValues, KernelReport, ScalarBand, SphereSpec};
+use vizalgo::{
+    Algorithm, AlgorithmSpec, Backend, FilterOutput, IsoValues, KernelReport, ScalarBand,
+    SphereSpec,
+};
 use vizmesh::DataSet;
 
 /// The paper's nine processor power caps (W).
@@ -146,17 +149,11 @@ pub const HYDRO_BASE_MAX: usize = 64;
 /// across sizes, which is the premise of the paper's Figs. 4–6 (IPC
 /// trends attributed to data volume, not field differences).
 ///
-/// Delegates to the one journaled construction site
-/// (`store::solve_base`) with the journal off, so the free
-/// function and [`DatasetStore`] can never produce different bits.
+/// Delegates to a fresh [`DatasetStore`] (journal off), so the free
+/// function and the store can never produce different bits.
 pub fn dataset_for(size: usize) -> DataSet {
-    let base_n = size.min(HYDRO_BASE_MAX);
-    let base = crate::store::solve_base(base_n, &mut Journal::off());
-    if base_n == size {
-        base
-    } else {
-        upsample(&base, size)
-    }
+    let ds = DatasetStore::new().dataset(size);
+    Arc::unwrap_or_clone(ds)
 }
 
 /// Trilinearly upsample a structured dataset's fields onto an `n³` grid
@@ -231,16 +228,28 @@ pub fn native_run(
     size: usize,
     input: &DataSet,
 ) -> AlgorithmRun {
-    let spec = config.spec(algorithm);
-    let filter: Box<dyn Filter> = spec.build(input);
-    let out = filter.execute(input);
-    AlgorithmRun {
-        algorithm,
+    native_run_with(config.spec(algorithm), Backend::Traditional, size, input).0
+}
+
+/// The one build → execute → [`AlgorithmRun`] site: build `spec` on
+/// `backend` against `input`, execute it, and return the run together
+/// with the full [`FilterOutput`] (geometry, images, kernels,
+/// primitives) for callers that render or measure it.
+pub fn native_run_with(
+    spec: AlgorithmSpec,
+    backend: Backend,
+    size: usize,
+    input: &DataSet,
+) -> (AlgorithmRun, FilterOutput) {
+    let out = spec.build_with(backend, input).execute(input);
+    let run = AlgorithmRun {
+        algorithm: spec.algorithm(),
         size,
         input_cells: input.num_cells(),
         spec,
-        reports: out.kernels,
-    }
+        reports: out.kernels.clone(),
+    };
+    (run, out)
 }
 
 /// The power-cap sweep of one algorithm at one size.
@@ -424,23 +433,12 @@ impl StudyContext {
         self.config.clone().unwrap_or_else(StudyConfig::paper)
     }
 
-    /// Number of distinct native runs computed so far.
-    pub fn cached_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Dataset at `size`, computed once; the hydro base is shared, and a
     /// hit returns another handle to the cached allocation. Delegates to
     /// the context's [`DatasetStore`], journaling fresh base solves
     /// exactly as before the extraction.
     pub fn dataset(&mut self, size: usize) -> Arc<DataSet> {
         self.store.dataset_journaled(size, &mut self.journal)
-    }
-
-    /// The context's dataset store, for consumers (the study service)
-    /// that share datasets across threads.
-    pub fn store(&self) -> &DatasetStore {
-        &self.store
     }
 
     /// Native run for (algorithm, size), computed once; a hit returns

@@ -15,9 +15,10 @@
 //!
 //! One sharp edge, documented rather than papered over: if a compute
 //! closure panics, its in-flight marker is never published and waiters
-//! on that key would block. The service runs computes on scoped worker
-//! threads whose panics propagate at join, so a panicking compute takes
-//! the whole serve call down with it — it cannot silently wedge.
+//! on that key would block. The service runs computes on `vizmesh::par`
+//! workers, whose panics re-raise on the dispatch thread at join, so a
+//! panicking compute takes the whole serve call down with it — it
+//! cannot silently wedge.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,17 +13,21 @@
 //!   via [`vizpower::study::sweep`] — depends on all four key
 //!   components and is what the service's main result cache stores.
 //!
-//! The native entry keeps the `Debug` rendering of the full
-//! [`FilterOutput`](vizalgo::FilterOutput) (geometry, images, kernels,
-//! primitives). That string is the differential-parity oracle: the
-//! root `service_parity` suite compares it byte-for-byte against a cold
-//! direct run of the same spec.
+//! The native entry is the [`AlgorithmRun`] from
+//! [`vizpower::study::native_run_with`] — the one build → execute site
+//! the study drivers and the bench share — plus one `Debug` rendering of
+//! the full [`FilterOutput`](vizalgo::FilterOutput) (geometry, images,
+//! kernels, primitives). There is one rendering per native run: every
+//! cached [`JobResult`] built on it holds another handle to the same
+//! `Arc<str>`, never a copy. That string is the differential-parity
+//! oracle: the root `service_parity` suite compares it byte-for-byte
+//! against a cold direct run of the same spec.
 
 use std::sync::Arc;
 
 use powersim::{CpuSpec, ExecResult, Watts};
-use vizalgo::{Algorithm, AlgorithmSpec, Backend, KernelReport};
-use vizpower::study::sweep;
+use vizalgo::{Algorithm, AlgorithmSpec, Backend};
+use vizpower::study::{native_run_with, sweep};
 use vizpower::{AlgorithmRun, DatasetStore, EmptySweepError};
 
 use crate::cache::ResultCache;
@@ -52,8 +56,9 @@ pub struct JobResult {
     /// The executed algorithm.
     pub algorithm: Algorithm,
     /// `format!("{:?}")` of the native [`vizalgo::FilterOutput`] —
-    /// byte-compared against cold direct runs by the parity suite.
-    pub output_debug: String,
+    /// byte-compared against cold direct runs by the parity suite. Shared
+    /// with the native entry and every other cap's result.
+    pub output_debug: Arc<str>,
     /// The capped power-model execution (time, energy, counters).
     pub exec: ExecResult,
 }
@@ -119,16 +124,14 @@ impl From<EmptySweepError> for ServiceError {
     }
 }
 
-/// A cached native filter run: the parity-oracle rendering plus the
-/// kernel reports that feed `characterize`.
+/// A cached native filter run: the run that feeds `characterize` plus
+/// the parity-oracle rendering its results share.
 #[derive(Debug)]
 pub struct NativeRun {
+    /// The executed plan and its measured per-kernel work counts.
+    pub run: AlgorithmRun,
     /// `Debug` rendering of the full `FilterOutput`.
-    pub output_debug: String,
-    /// Measured per-kernel work counts, in execution order.
-    pub reports: Vec<KernelReport>,
-    /// Cells in the input dataset.
-    pub input_cells: usize,
+    pub output_debug: Arc<str>,
 }
 
 /// The compute core shared by every worker thread: dataset store,
@@ -149,16 +152,6 @@ impl Engine {
             cpu,
             natives: ResultCache::new(shards),
         }
-    }
-
-    /// The processor model the engine executes against.
-    pub fn cpu(&self) -> &CpuSpec {
-        &self.cpu
-    }
-
-    /// The shared dataset store (lazily built, fingerprint-cached).
-    pub fn store(&self) -> &Arc<DatasetStore> {
-        &self.store
     }
 
     /// 48-bit fingerprint of the `size`³ study dataset.
@@ -193,11 +186,10 @@ impl Engine {
         };
         self.natives.get_or_compute(key, || {
             let ds = self.store.dataset(req.size);
-            let out = req.spec.build_with(req.backend, &ds).execute(&ds);
+            let (run, out) = native_run_with(req.spec.clone(), req.backend, req.size, &ds);
             NativeRun {
-                output_debug: format!("{out:?}"),
-                reports: out.kernels,
-                input_cells: ds.num_cells(),
+                run,
+                output_debug: format!("{out:?}").into(),
             }
         })
     }
@@ -205,25 +197,15 @@ impl Engine {
     /// Execute one validated, admitted unit of work: native run (cached
     /// across caps), then the power model at exactly the key's cap.
     pub fn execute(&self, req: &Request, key: CacheKey) -> JobResult {
-        let algorithm = req.spec.algorithm();
         let native = self.native(req, key.data_fp);
-        let run = AlgorithmRun {
-            algorithm,
-            size: req.size,
-            input_cells: native.input_cells,
-            spec: req.spec.clone(),
-            reports: native.reports.clone(),
-        };
-        let sw = sweep(&run, &[key.cap()], &self.cpu);
-        let exec = sw
+        let exec = sweep(&native.run, &[key.cap()], &self.cpu)
             .rows
-            .first()
-            .expect("single-cap sweep has exactly one row")
-            .clone();
+            .pop()
+            .expect("single-cap sweep has exactly one row");
         JobResult {
             key,
-            algorithm,
-            output_debug: native.output_debug.clone(),
+            algorithm: native.run.algorithm,
+            output_debug: Arc::clone(&native.output_debug),
             exec,
         }
     }
@@ -293,5 +275,13 @@ mod tests {
         assert!(job.exec.seconds > 0.0);
         assert!(!job.output_debug.is_empty());
         assert_eq!(job.algorithm, Algorithm::Slice);
+        // Every cap's result shares the native run's one rendering.
+        let hi = request(120.0, Backend::Traditional);
+        let hi_job = e.execute(
+            &hi,
+            CacheKey::new(&hi.spec, key.data_fp, hi.cap, hi.backend),
+        );
+        assert_eq!(hi_job.exec.cap_watts, Watts(120.0));
+        assert!(Arc::ptr_eq(&job.output_debug, &hi_job.output_debug));
     }
 }

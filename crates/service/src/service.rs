@@ -25,14 +25,14 @@
 //! modeled outputs are byte-identical — the root `service_golden` suite
 //! pins exactly that.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use powersim::{CacheEvent, CpuSpec, Event, Journal, Scope, ServiceRequest, Watts};
 use vizalgo::Algorithm;
+use vizmesh::par;
 use vizpower::study::sweep;
-use vizpower::{AlgorithmRun, CapSweep, DatasetStore, StudyConfig};
+use vizpower::{CapSweep, DatasetStore, StudyConfig};
 
 use crate::admission::Admission;
 use crate::cache::{CacheStats, Outcome, ResultCache};
@@ -288,9 +288,10 @@ pub struct StudyService {
     waves_started: Vec<u32>,
     /// Resident cache keys in first-scheduled order — the deterministic
     /// eviction queue when [`ServiceConfig::cache_slots`] bounds the
-    /// cache. Every insert goes through `serve`, so this list mirrors
-    /// the resident set exactly.
-    resident_order: Vec<CacheKey>,
+    /// cache. Every insert goes through `serve`, which validates its
+    /// whole slice before scheduling anything, so this queue mirrors the
+    /// resident set exactly.
+    resident_order: VecDeque<CacheKey>,
 }
 
 impl StudyService {
@@ -333,7 +334,7 @@ impl StudyService {
             cache,
             admission,
             waves_started,
-            resident_order: Vec::new(),
+            resident_order: VecDeque::new(),
         })
     }
 
@@ -361,12 +362,18 @@ impl StudyService {
     /// Serve a traffic slice: dispatch in batches, dedupe through the
     /// result cache, schedule unique jobs across the fleet, and journal
     /// one `cache_event` per request at dispatch plus one
-    /// `service_request` at its modeled completion.
+    /// `service_request` at its modeled completion. A request the
+    /// engine rejects fails the whole call before any batch dispatches,
+    /// so a failed call leaves the cache, journal and eviction queue
+    /// untouched.
     pub fn serve(
         &mut self,
         requests: &[Request],
         journal: &mut Journal,
     ) -> Result<ServeOutcome, ServiceError> {
+        for req in requests {
+            self.engine.validate(req)?;
+        }
         let serve_t0 = journal.now();
         let nodes = self.cfg.nodes;
         let budget = self.admission.node_budget();
@@ -399,7 +406,6 @@ impl StudyService {
             let mut classes: Vec<(CacheKey, Outcome, Option<usize>)> =
                 Vec::with_capacity(batch.len());
             for req in batch {
-                self.engine.validate(req)?;
                 let admitted = self.admission.admit(req.cap);
                 let key = CacheKey::new(
                     &req.spec,
@@ -414,7 +420,7 @@ impl StudyService {
                 } else {
                     let j = jobs.len();
                     scheduled.insert(key, j);
-                    self.resident_order.push(key);
+                    self.resident_order.push_back(key);
                     jobs.push(Job {
                         key,
                         req: Request {
@@ -561,8 +567,8 @@ impl StudyService {
             //    so the evicted entries are always `Ready` and the
             //    order is deterministic.
             if let Some(slots) = self.cfg.cache_slots {
-                while self.resident_order.len() > slots {
-                    let key = self.resident_order.remove(0);
+                let excess = self.resident_order.len().saturating_sub(slots);
+                for key in self.resident_order.drain(..excess) {
                     if self.cache.remove(&key) {
                         report.evictions += 1;
                         journal.push(Event::CacheEvent(CacheEvent {
@@ -602,43 +608,23 @@ impl StudyService {
     }
 
     /// Run every unique job of a batch through the single-flight cache
-    /// on `workers` scoped threads. Work is claimed from a shared
-    /// atomic counter; results return over a channel keyed by job
-    /// index, so the output order is deterministic even though the
-    /// execution order is not.
+    /// on `workers` threads of [`vizmesh::par`]. Results land at their
+    /// job index, so the output order is deterministic even though the
+    /// execution order is not. (`map_collect` pre-fills its slots with
+    /// `Default`, hence the `Option`.)
     fn execute_jobs(&self, jobs: &[Job]) -> Vec<Arc<JobResult>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.cfg.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Arc<JobResult>)>();
-        let mut results: Vec<Option<Arc<JobResult>>> = jobs.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs.len() {
-                        break;
-                    }
-                    let job = &jobs[j];
-                    let result = self
-                        .cache
-                        .get_or_compute(job.key, || self.engine.execute(&job.req, job.key));
-                    tx.send((j, result)).expect("result channel open");
-                });
-            }
-        });
-        drop(tx);
-        for (j, result) in rx {
-            results[j] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every job executed"))
-            .collect()
+        par::with_threads(self.cfg.workers, || {
+            par::map_collect(jobs.len(), |j| {
+                let job = &jobs[j];
+                Some(
+                    self.cache
+                        .get_or_compute(job.key, || self.engine.execute(&job.req, job.key)),
+                )
+            })
+        })
+        .into_iter()
+        .map(|r| r.expect("every job executed"))
+        .collect()
     }
 
     /// A study-style cap sweep served through the engine's native-run
@@ -646,23 +632,15 @@ impl StudyService {
     /// `size`. An empty configured cap list is an actionable
     /// [`ServiceError::EmptySweep`], not a silently empty report.
     pub fn cap_sweep(&self, algorithm: Algorithm, size: usize) -> Result<CapSweep, ServiceError> {
-        let spec = self.cfg.study.spec(algorithm);
         let req = Request {
-            spec: spec.clone(),
+            spec: self.cfg.study.spec(algorithm),
             size,
             cap: self.cfg.cpu.tdp_watts,
             backend: vizalgo::Backend::Traditional,
         };
         self.engine.validate(&req)?;
         let native = self.engine.native(&req, self.engine.data_fp(size));
-        let run = AlgorithmRun {
-            algorithm,
-            size,
-            input_cells: native.input_cells,
-            spec,
-            reports: native.reports.clone(),
-        };
-        let sw = sweep(&run, &self.cfg.study.caps, self.engine.cpu());
+        let sw = sweep(&native.run, &self.cfg.study.caps, &self.cfg.cpu);
         sw.require_ratios().map_err(ServiceError::EmptySweep)?;
         Ok(sw)
     }
@@ -788,6 +766,10 @@ mod tests {
         );
         // Batch 1 evicts Slice, batch 2 evicts Threshold.
         assert_eq!(r.evictions, 2);
+        // The recompute is a new result on the native run's rendering.
+        let (first, again) = (&out.responses[0].result, &out.responses[4].result);
+        assert!(!Arc::ptr_eq(first, again));
+        assert!(Arc::ptr_eq(&first.output_debug, &again.output_debug));
         assert_eq!(svc.cache_len(), 2, "cache bounded to the slot budget");
         let evict_lines = journal
             .to_jsonl()
@@ -796,6 +778,32 @@ mod tests {
             .count();
         assert_eq!(evict_lines, 2, "one journaled evict per drop");
         assert!(out.report.render().contains("evictions: 2"));
+    }
+
+    #[test]
+    fn rejected_call_queues_nothing_for_eviction() {
+        let cfg = ServiceConfig {
+            cache_slots: Some(2),
+            ..tiny_cfg()
+        };
+        let mut svc = StudyService::new(cfg).expect("valid config");
+        let (slice, threshold) = (req(Algorithm::Slice, 80.0), req(Algorithm::Threshold, 80.0));
+        let dpp_raytrace = Request {
+            backend: Backend::Dpp,
+            ..req(Algorithm::RayTracing, 80.0)
+        };
+        let mut j = Journal::off();
+        let rejected = svc.serve(&[slice.clone(), dpp_raytrace], &mut j);
+        assert!(matches!(
+            rejected,
+            Err(ServiceError::UnsupportedBackend { .. })
+        ));
+        let two = svc
+            .serve(&[slice.clone(), threshold], &mut j)
+            .expect("serves");
+        assert_eq!(two.report.evictions, 0, "no phantom keys queued");
+        assert_eq!(svc.cache_len(), 2);
+        assert_eq!(svc.serve(&[slice], &mut j).expect("serves").report.hits, 1);
     }
 
     #[test]

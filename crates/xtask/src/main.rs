@@ -4,7 +4,7 @@
 //! cargo xtask lint [--strict] [--root DIR]   # repo-specific static analysis
 //! cargo xtask analyze [--json] [--ratchet] [--write-baseline] [--root DIR]
 //!                                            # hot-path analyzer + findings ratchet
-//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, build, test, doc
+//! cargo xtask ci   [--root DIR]              # full local CI: fmt, clippy, lint, analyze, build, test, smokes, doc, perfbench self-test
 //! ```
 //!
 //! Exit codes: 0 clean, 1 policy violations / ratchet regression, 2 usage
@@ -201,7 +201,7 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
         ),
     ];
     for (label, argv, envs) in steps {
-        if let Some(code) = run_step(root, label, argv, envs) {
+        if let Some(code) = run_step(root, label, "cargo", argv, envs) {
             return code;
         }
     }
@@ -334,19 +334,33 @@ fn run_ci(root: &Path, strict: bool) -> u8 {
         ),
     ];
     for (label, argv, envs) in tier1 {
-        if let Some(code) = run_step(root, label, argv, envs) {
+        if let Some(code) = run_step(root, label, "cargo", argv, envs) {
             return code;
         }
+    }
+    // The benchmark is a package outside the workspace: build it against
+    // the workspace crates and run its unit tests, so a library API
+    // change that breaks it fails here.
+    let self_test = ["perfbench/run.py", "--self-test"];
+    if let Some(code) = run_step(root, "perfbench self-test", "python3", &self_test, &[]) {
+        return code;
     }
     eprintln!("xtask ci: all steps passed");
     0
 }
 
-/// Run one cargo step with extra environment variables; `Some(code)`
-/// means it failed and CI should stop.
-fn run_step(root: &Path, label: &str, argv: &[&str], envs: &[(&str, &str)]) -> Option<u8> {
+/// Run one step with extra environment variables; `Some(code)` means it
+/// failed and CI should stop. `program` is `cargo` for every step but
+/// the benchmark self-test.
+fn run_step(
+    root: &Path,
+    label: &str,
+    program: &str,
+    argv: &[&str],
+    envs: &[(&str, &str)],
+) -> Option<u8> {
     eprintln!("xtask ci: running {label}");
-    match Command::new("cargo")
+    match Command::new(program)
         .args(argv)
         .envs(envs.iter().copied())
         .current_dir(root)
@@ -358,7 +372,7 @@ fn run_step(root: &Path, label: &str, argv: &[&str], envs: &[(&str, &str)]) -> O
             Some(1)
         }
         Err(e) => {
-            eprintln!("xtask ci: could not spawn cargo for {label}: {e}");
+            eprintln!("xtask ci: could not spawn {program} for {label}: {e}");
             Some(2)
         }
     }

@@ -112,8 +112,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
         for (req, resp) in traffic.iter().zip(&cold.responses) {
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &resp.result.output_debug,
-                expected,
+                &*resp.result.output_debug,
+                expected.as_str(),
                 "{:?}/{:?} via {:?} diverged from the cold direct run \
                  ({workers} workers)",
                 req.spec.algorithm(),
@@ -130,8 +130,8 @@ fn every_response_matches_a_cold_direct_run_at_any_worker_count() {
             assert_eq!(resp.outcome, Outcome::Hit, "warm pass must hit");
             let expected = &refs[&(req.spec.algorithm(), req.backend)];
             assert_eq!(
-                &resp.result.output_debug,
-                expected,
+                &*resp.result.output_debug,
+                expected.as_str(),
                 "cache hit for {:?}/{:?} diverged ({workers} workers)",
                 req.spec.algorithm(),
                 req.backend,
